@@ -672,6 +672,97 @@ let prop_choose_tile_footprint =
       t >= 1 && t <= 256
       && per_iter * ipow t d <= max (l1_bytes / 2) per_iter)
 
+(* --- Plan golden ------------------------------------------------------ *)
+
+(* Pins [Distribute.run]'s output on suite kernels: a digest of every
+   core's group ids and iteration keys, in assignment order.  Equal
+   candidate weights pop in heap-structure order, so a change to the
+   order in which agglomeration pushes candidates changes plans; this
+   golden catches it without a simulation.  It must only change when a
+   plan change is intended (and explained). *)
+let plan_digest ?(params = Mapping.default_params) ~topo program =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun nest ->
+      let _, groups, dag = Mapping.grouping_for ~params ~machine:topo program nest in
+      let assignment =
+        Distribute.run ~balance_threshold:params.Mapping.balance_threshold
+          ~dependence_mode:params.Mapping.dependence_mode ~dep_graph:dag topo
+          groups
+      in
+      Buffer.add_string buf nest.Nest.name;
+      Array.iteri
+        (fun core gs ->
+          Buffer.add_string buf (Printf.sprintf "|c%d" core);
+          List.iter
+            (fun g ->
+              Buffer.add_string buf (Printf.sprintf ";g%d:" g.Iter_group.id);
+              Array.iter
+                (fun k -> Buffer.add_string buf (Printf.sprintf "%d," k))
+                (Iterset.keys g.Iter_group.iters))
+            gs)
+        assignment;
+      Buffer.add_char buf '\n')
+    (Program.parallel_nests program);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let plan_golden_cases () =
+  (* Sizes keep each case well under a second while still
+     agglomerating hundreds of groups. *)
+  let kernel name size =
+    Ctam_workloads.Kernel.program ~size (Ctam_workloads.Suite.by_name name)
+  in
+  let dunnington = machine and harpertown = Machines.harpertown ~scale:64 () in
+  List.concat_map
+    (fun (name, size) ->
+      let p = kernel name size in
+      [
+        (name ^ "/dunnington", plan_digest ~topo:dunnington p);
+        (name ^ "/harpertown", plan_digest ~topo:harpertown p);
+      ])
+    [ ("equake", 64); ("mesa", 64); ("galgel", 96); ("h264", 88) ]
+  @ [
+      (* A group cap below the unit-tile count makes [Tags.group_capped]
+         coarsen the tile edge. *)
+      ( "equake/dunnington/capped",
+        plan_digest
+          ~params:{ Mapping.default_params with max_groups = 150 }
+          ~topo:dunnington (kernel "equake" 64) );
+      ( "sp/dunnington/cluster",
+        plan_digest
+          ~params:
+            { Mapping.default_params with dependence_mode = Distribute.Cluster }
+          ~topo:dunnington (kernel "sp" 2048) );
+    ]
+
+let plan_golden =
+  [
+    ("equake/dunnington", "41611649cd8103fec190cf8bd88b38df");
+    ("equake/harpertown", "52a850c68e193725d03a1a667a9473cc");
+    ("mesa/dunnington", "c54dd2ac315f77c3c00fe4874a4a6197");
+    ("mesa/harpertown", "0d83d14a857e334fc504a2d774c4a13b");
+    ("galgel/dunnington", "ab81b0c55be8f78e8b16799660e6a3c3");
+    ("galgel/harpertown", "1fbad767b0725047e25af0d70288992a");
+    ("h264/dunnington", "3617c28515e5422d8cc72a651f60b46b");
+    ("h264/harpertown", "2e68991881f7ce3569e2e3f9c75cf55b");
+    ("equake/dunnington/capped", "01dbbd8f65958d4e7787a2d8d5891b46");
+    ("sp/dunnington/cluster", "af7aea99a6d22a13de089c9dc32b7643");
+  ]
+
+let test_plan_golden () =
+  (* The cluster case only pins fusion if sp really has dependences. *)
+  let sp = Ctam_workloads.Kernel.program ~size:2048 Ctam_workloads.Suite.sp in
+  check_bool "sp has group dependences" true
+    (List.exists
+       (fun nest ->
+         let _, _, dag =
+           Mapping.grouping_for ~params:Mapping.default_params ~machine sp nest
+         in
+         not (Dep_graph.is_empty dag))
+       (Program.parallel_nests sp));
+  Alcotest.(check (list (pair string string)))
+    "plan digests" plan_golden (plan_golden_cases ())
+
 let () =
   Alcotest.run "core"
     [
@@ -685,6 +776,7 @@ let () =
           Alcotest.test_case "weights" `Quick test_balance_respects_weights;
           Alcotest.test_case "affinity quality" `Quick
             test_distribute_affinity_quality;
+          Alcotest.test_case "plan golden" `Quick test_plan_golden;
         ] );
       ( "schedule",
         [
