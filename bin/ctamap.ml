@@ -123,7 +123,17 @@ let machine_arg =
 
 let scale_arg =
   let doc = "Cache-capacity scale divisor (1 = the paper's Table 1 sizes)." in
-  Arg.(value & opt int 16 & info [ "scale" ] ~doc)
+  (* A divisor below 1 would divide every capacity by zero or flip its
+     sign: reject it as a usage error. *)
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got '%s'" s))),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt positive 16 & info [ "scale" ] ~doc)
 
 let scheme_arg =
   let doc = "Mapping scheme: base, base+, local, topology-aware, combined." in

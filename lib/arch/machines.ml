@@ -6,6 +6,7 @@ let mb n = n * 1024 * 1024
 (* Divide a capacity by [scale], keeping at least one full set and
    set-multiple granularity. *)
 let scaled ~scale ~assoc ~line size =
+  if scale < 1 then invalid_arg "Machines: scale must be >= 1";
   let set = assoc * line in
   max set (size / scale / set * set)
 

@@ -100,21 +100,27 @@ let as_float what = function
       | None -> fail "%s: expected a number, got '%s'" what a)
   | List _ -> fail "%s: expected a number" what
 
-let field name items =
-  List.find_map
-    (function
-      | List (Atom key :: value) when key = name -> Some value
-      | _ -> None)
-    items
+(* [owner] names the form the attribute belongs to, for errors. *)
+let field ~owner name items =
+  match
+    List.filter_map
+      (function
+        | List (Atom key :: value) when key = name -> Some value
+        | _ -> None)
+      items
+  with
+  | [] -> None
+  | [ value ] -> Some value
+  | _ -> fail "%s: duplicate (%s ...)" owner name
 
-let field1 name items =
-  match field name items with
+let field1 ~owner name items =
+  match field ~owner name items with
   | Some [ v ] -> Some v
   | Some _ -> fail "(%s ...) takes exactly one value" name
   | None -> None
 
-let require1 name items =
-  match field1 name items with
+let require1 ~owner name items =
+  match field1 ~owner name items with
   | Some v -> v
   | None -> fail "missing (%s ...)" name
 
@@ -144,6 +150,8 @@ let parse text =
             | _ -> fail "(cores N): bad count '%s'" n)
         | _ -> fail "(cores N)")
     | List (Atom "cache" :: Atom name :: rest) ->
+        let owner = Printf.sprintf "cache %s" name in
+        let require1 = require1 ~owner in
         let level = as_int "level" (require1 "level" rest) in
         let size_bytes =
           match require1 "size" rest with
@@ -154,7 +162,7 @@ let parse text =
         let line = as_int "line" (require1 "line" rest) in
         let latency = as_int "latency" (require1 "latency" rest) in
         let policy =
-          match field1 "policy" rest with
+          match field1 ~owner "policy" rest with
           | None -> Policy.Lru
           | Some (Atom s) -> (
               match Policy.of_string s with
@@ -195,8 +203,9 @@ let parse text =
   in
   match read_sexp text with
   | List (Atom "machine" :: Atom name :: rest) -> (
-      let clock = as_float "clock" (require1 "clock" rest) in
-      let mem = as_int "mem" (require1 "mem" rest) in
+      let owner = Printf.sprintf "machine %s" name in
+      let clock = as_float "clock" (require1 ~owner "clock" rest) in
+      let mem = as_int "mem" (require1 ~owner "mem" rest) in
       let roots =
         List.concat_map parse_node
           (List.filter

@@ -40,6 +40,15 @@ let make ~name ~clock_ghz ~mem_latency roots =
     invalid_arg "Topology.make: duplicate cache names";
   List.iter
     (fun p ->
+      let positive what v =
+        if v <= 0 then
+          invalid_arg
+            (Printf.sprintf "Topology.make: cache %s: %s must be positive (got %d)"
+               p.cache_name what v)
+      in
+      positive "size" p.size_bytes;
+      positive "assoc" p.assoc;
+      positive "line" p.line;
       if p.size_bytes < p.assoc * p.line then
         invalid_arg
           (Printf.sprintf "Topology.make: cache %s smaller than one set"

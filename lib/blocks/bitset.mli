@@ -38,6 +38,20 @@ val diff : t -> t -> t
 (** [dot a b] = |a ∩ b|: the paper's tag dot-product affinity. *)
 val dot : t -> t -> int
 
+(** A bitset stored as its nonzero words only: the form for a tag
+    that is dotted many times against wide ones. *)
+type sparse
+
+val sparse : t -> sparse
+
+(** Number of nonzero words: the cost of {!dot_sparse}. *)
+val sparse_words : sparse -> int
+
+(** [dot_sparse s t] = [dot a t] for [s = sparse a], at a cost linear
+    in the nonzero words of [a] rather than in the width.
+    @raise Invalid_argument on a width mismatch. *)
+val dot_sparse : sparse -> t -> int
+
 (** Bits set in exactly one of the two: the Hamming distance. *)
 val hamming : t -> t -> int
 

@@ -106,6 +106,9 @@ let parse_machine j =
   | None, None -> bad "missing \"machine\" (preset name) or \"topology\" (text)"
   | Some name, None -> (
       let scale = int_field j "scale" in
+      (match scale with
+      | Some s when s < 1 -> bad "\"scale\" must be >= 1 (got %d)" s
+      | _ -> ());
       match Ctam_arch.Machines.by_name ?scale name with
       | m -> m
       | exception Not_found -> bad "unknown machine %S" name)

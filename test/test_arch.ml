@@ -203,6 +203,73 @@ let test_parse_errors () =
   expect_err
     "(machine \"X\" (clock 1.0) (mem 10)\n     (cache \"c\" (level 1) (size 1K) (assoc 2) (line 64) (latency 1) (core))\n     (cache \"c\" (level 1) (size 1K) (assoc 2) (line 64) (latency 1) (core)))"
 
+(* A one-L1 machine whose L1 carries [attrs]. *)
+let one_cache attrs =
+  Printf.sprintf
+    "(machine \"X\" (clock 1.0) (mem 10)\n  (cache \"L1\" (level 1) %s (core)))"
+    attrs
+
+let parse_error text =
+  match Topo_parse.parse text with
+  | exception Topo_parse.Error msg -> msg
+  | _ -> Alcotest.fail "expected parse error"
+
+let check_mentions what msg needles =
+  List.iter
+    (fun needle ->
+      if not (Astring.String.is_infix ~affix:needle msg) then
+        Alcotest.failf "%s: %S does not mention %S" what msg needle)
+    needles
+
+let test_parse_nonpositive_geometry () =
+  (* Regression: a zero line size or associativity reached Topology.make's
+     [size mod (assoc * line)] and died with Division_by_zero. *)
+  check_mentions "line 0"
+    (parse_error
+       (one_cache "(size 32K) (assoc 8) (line 0) (latency 3)"))
+    [ "L1"; "line" ];
+  check_mentions "assoc 0"
+    (parse_error
+       (one_cache "(size 32K) (assoc 0) (line 64) (latency 3)"))
+    [ "L1"; "assoc" ];
+  check_mentions "size 0"
+    (parse_error (one_cache "(size 0) (assoc 8) (line 64) (latency 3)"))
+    [ "size" ];
+  let cache line =
+    Topology.Cache
+      ( {
+          Topology.cache_name = "L1";
+          level = 1;
+          size_bytes = 32768;
+          assoc = 8;
+          line;
+          latency = 3;
+          policy = Policy.Lru;
+        },
+        [ Topology.Core 0 ] )
+  in
+  match Topology.make ~name:"X" ~clock_ghz:1.0 ~mem_latency:10 [ cache 0 ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "line 0 accepted"
+
+let test_parse_duplicate_attribute () =
+  (* Regression: a repeated attribute was accepted silently and the
+     first one won. *)
+  check_mentions "duplicate assoc"
+    (parse_error
+       (one_cache "(size 32K) (assoc 4) (assoc 0) (line 64) (latency 3)"))
+    [ "cache L1"; "duplicate (assoc" ];
+  check_mentions "duplicate policy"
+    (parse_error
+       (one_cache
+          "(size 32K) (assoc 4) (line 64) (latency 3) (policy lru) (policy fifo)"))
+    [ "cache L1"; "duplicate (policy" ];
+  check_mentions "duplicate clock"
+    (parse_error
+       "(machine \"X\" (clock 1.0) (clock 2.0) (mem 10)\n\
+       \  (cache \"L1\" (level 1) (size 32K) (assoc 8) (line 64) (latency 3) (core)))")
+    [ "machine X"; "duplicate (clock" ]
+
 let test_parse_empty_string () =
   (* Regression: the tokenizer used to drop empty quoted strings (the
      flush after the closing quote was a no-op on an empty buffer), so
@@ -256,6 +323,10 @@ let () =
           Alcotest.test_case "parse" `Quick test_parse_machine;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "empty string" `Quick test_parse_empty_string;
+          Alcotest.test_case "non-positive geometry" `Quick
+            test_parse_nonpositive_geometry;
+          Alcotest.test_case "duplicate attribute" `Quick
+            test_parse_duplicate_attribute;
           Alcotest.test_case "roundtrip" `Quick test_parse_roundtrip;
         ] );
       ( "queries",

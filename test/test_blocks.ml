@@ -103,6 +103,39 @@ let prop_iter_equals_naive_walk =
       Bitset.iter (fun j -> via_iter := j :: !via_iter) b;
       List.rev !via_iter = !naive && Bitset.to_list b = !naive)
 
+(* dot is a direct word loop and dot_sparse walks nonzero words only:
+   both must count the intersection, at every width from empty through
+   several 62-bit words. *)
+let prop_dot_is_count_of_inter =
+  let arb =
+    QCheck.(
+      triple (int_range 0 200)
+        (list_of_size (Gen.int_range 0 40) (int_range 0 199))
+        (list_of_size (Gen.int_range 0 40) (int_range 0 199)))
+  in
+  QCheck.Test.make ~name:"dot = count (inter a b) = dot_sparse" ~count:300 arb
+    (fun (n, xs, ys) ->
+      let keep = List.filter (fun j -> j < n) in
+      let a = Bitset.of_list n (keep xs) and b = Bitset.of_list n (keep ys) in
+      let naive = ref 0 in
+      for j = 0 to n - 1 do
+        if Bitset.get a j && Bitset.get b j then incr naive
+      done;
+      let d = Bitset.dot a b in
+      d = Bitset.count (Bitset.inter a b)
+      && d = !naive
+      && Bitset.dot_sparse (Bitset.sparse a) b = d
+      && Bitset.dot_sparse (Bitset.sparse b) a = d)
+
+let test_dot_width_mismatch () =
+  let a = Bitset.of_list 62 [ 1 ] and b = Bitset.of_list 63 [ 1 ] in
+  let mismatch = Invalid_argument "Bitset: width mismatch" in
+  Alcotest.check_raises "dot" mismatch (fun () -> ignore (Bitset.dot a b));
+  Alcotest.check_raises "dot_sparse" mismatch (fun () ->
+      ignore (Bitset.dot_sparse (Bitset.sparse a) b));
+  check_int "sparse words" 1 (Bitset.sparse_words (Bitset.sparse b));
+  check_int "empty sparse" 0 (Bitset.sparse_words (Bitset.sparse (Bitset.create 0)))
+
 let test_bitset_singleton () =
   (* bit 127 lives in the second word *)
   let s = Bitset.singleton 130 127 in
@@ -274,6 +307,39 @@ let test_tile_coalescing () =
   check_int "iterations preserved" (Nest.trip_count nest)
     (Tags.total_iterations gc)
 
+let test_capped_is_first_fitting_edge () =
+  (* group_capped only builds the accepted edge's groups; they must be
+     exactly what grouping at that edge gives, and that edge must be the
+     first power of two whose tag count fits. *)
+  let k = 16 in
+  let p = fig5_program k in
+  let nest = List.hd p.Program.nests in
+  let bm, _ = Block_map.for_program ~block_size:k ~line:8 p in
+  let at edge =
+    if edge = 1 then Tags.group nest bm else Tags.group ~tile:[| edge |] nest bm
+  in
+  let summary g =
+    Array.to_list g.Tags.groups
+    |> List.map (fun gr ->
+           ( gr.Iter_group.id,
+             Bitset.to_list gr.Iter_group.tag,
+             Array.to_list (Iterset.keys gr.Iter_group.iters) ))
+  in
+  List.iter
+    (fun max_groups ->
+      let rec first edge =
+        if Array.length (at edge).Tags.groups <= max_groups
+           || edge > Nest.trip_count nest
+        then edge
+        else first (edge * 2)
+      in
+      let expected = at (first 1) in
+      Alcotest.(check (list (triple int (list int) (list int))))
+        (Printf.sprintf "max_groups %d" max_groups)
+        (summary expected)
+        (summary (Tags.group_capped ~max_groups nest bm)))
+    [ 8; 4; 2; 1 ]
+
 (* --- Block_size ----------------------------------------------------- *)
 
 let test_block_size_rule () =
@@ -338,6 +404,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_union_count;
           QCheck_alcotest.to_alcotest prop_of_list_equals_fold_of_set;
           QCheck_alcotest.to_alcotest prop_iter_equals_naive_walk;
+          QCheck_alcotest.to_alcotest prop_dot_is_count_of_inter;
+          Alcotest.test_case "dot width mismatch" `Quick test_dot_width_mismatch;
         ] );
       ( "block_map",
         [
@@ -352,6 +420,8 @@ let () =
           Alcotest.test_case "groups disjoint" `Quick test_groups_disjoint;
           Alcotest.test_case "split" `Quick test_group_split;
           Alcotest.test_case "tile coalescing" `Quick test_tile_coalescing;
+          Alcotest.test_case "capped = first fitting edge" `Quick
+            test_capped_is_first_fitting_edge;
           QCheck_alcotest.to_alcotest prop_grouping_partitions;
         ] );
       ( "block_size",

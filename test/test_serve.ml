@@ -445,6 +445,19 @@ let test_trace_request_parse () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("lossy trace rejected: " ^ e)
 
+let test_nonpositive_scale_rejected () =
+  (* Regression: "scale": 0 divided every preset capacity by zero. *)
+  match
+    Request.parse_trace
+      (match trace_req " L 0x10,4\n" with
+      | J.Obj ms ->
+          J.Obj (List.map (function "scale", _ -> ("scale", J.Int 0) | m -> m) ms)
+      | j -> j)
+  with
+  | Error msg ->
+      check_bool "names the scale" true (Astring.String.is_infix ~affix:"scale" msg)
+  | Ok _ -> Alcotest.fail "scale 0 accepted"
+
 (* --- cache maintenance ------------------------------------------------- *)
 
 let test_purge_then_recompute () =
@@ -517,6 +530,8 @@ let () =
         [
           Alcotest.test_case "parse, key, strict errors" `Quick
             test_trace_request_parse;
+          Alcotest.test_case "non-positive scale" `Quick
+            test_nonpositive_scale_rejected;
         ] );
       ( "cache maintenance",
         [
